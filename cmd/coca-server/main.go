@@ -1,9 +1,9 @@
 // Command coca-server runs a CoCa edge server over TCP: it builds the
 // simulated model/dataset universe, initializes the global cache table from
 // the shared dataset, and serves session, cache-allocation and
-// global-update requests from coca-client processes (wire protocol v3
-// with per-request deadline propagation, negotiated down for v2 and v1
-// clients).
+// global-update requests from coca-client processes (the session wire
+// protocol, versions 2..4, negotiated per connection; v3+ carries
+// per-request deadlines).
 //
 // With -peers, the server joins a federation: it gossips global-cache
 // cell deltas to the listed peer servers every -sync interval and merges
@@ -84,7 +84,6 @@ func main() {
 		gamma    = flag.Float64("gamma", 0.99, "global merge decay γ (Eq. 4)")
 		seed     = flag.Uint64("seed", 1, "shared-dataset seed")
 		drainTO  = flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown bound: in-flight sessions get this long to drain before being force-closed")
-		drainOld = flag.Duration("drain", 0, "deprecated alias for -drain-timeout")
 		peersF   = flag.String("peers", "", "comma-separated federated peer server addresses (host:port,...)")
 		nodeID   = flag.Int("node-id", 0, "this server's federation id (distinct per fleet member)")
 		relay    = flag.Bool("relay", false, "relay received peer evidence onward (set on star hubs / ring members; leave off in a full mesh)")
@@ -100,14 +99,6 @@ func main() {
 	)
 	flag.Parse()
 	drain := *drainTO
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "drain" && *drainOld > 0 {
-			drain = *drainOld // deprecated alias; -drain-timeout wins when both are set
-		}
-		if f.Name == "drain-timeout" {
-			drain = *drainTO
-		}
-	})
 
 	if *metricsA != "" && *metricsA == *pprofA {
 		// Shared diagnostics listener: pprof registers on the default

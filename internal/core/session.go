@@ -78,7 +78,7 @@ type Delta struct {
 	// Full marks a complete (non-incremental) allocation.
 	Full bool
 	// Classes is the hot-spot class set behind the allocation
-	// (diagnostic, mirrors v1 Allocation.Classes).
+	// (diagnostic, mirrors Allocation.Classes).
 	Classes []int
 	// Sites lists the activated cache sites of the resulting allocation,
 	// ascending.
@@ -211,9 +211,8 @@ func (v *AllocView) Layers() []cache.Layer {
 	return out
 }
 
-// Allocation materializes the view as a v1-style full allocation (used by
-// the wire server to answer protocol-v1 clients and by frozen-allocation
-// refreshes).
+// Allocation materializes the view as a full allocation (used by
+// frozen-allocation refreshes and diagnostics).
 func (v *AllocView) Allocation() Allocation {
 	return Allocation{Classes: append([]int(nil), v.classes...), Layers: v.Layers()}
 }

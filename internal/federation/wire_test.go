@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"coca/internal/core"
 	"coca/internal/protocol"
@@ -187,9 +186,9 @@ func TestPeerSyncRejectedByPlainServer(t *testing.T) {
 	_ = cConn.Close()
 }
 
-// v1RoundTrip performs one raw v1 exchange over a connection.
-func v1RoundTrip(conn transport.Conn, req *protocol.Message) (*protocol.Message, error) {
-	req.Version = protocol.V1
+// v2RoundTrip performs one raw v2-framed exchange over a connection.
+func v2RoundTrip(conn transport.Conn, req *protocol.Message) (*protocol.Message, error) {
+	req.Version = protocol.V2
 	frame, err := protocol.Encode(req)
 	if err != nil {
 		return nil, err
@@ -204,11 +203,11 @@ func v1RoundTrip(conn transport.Conn, req *protocol.Message) (*protocol.Message,
 	return protocol.Decode(resp)
 }
 
-// TestMixedVersionFleetDuringPeerSync serves a mixed-version fleet — v2
-// session clients and a legacy v1 client — from one federated node while
-// peer sync runs concurrently against a second node whose own fleet is
-// also active. Run under -race in CI: allocations, uploads, v1
-// materialization and peer merges all interleave freely here.
+// TestMixedVersionFleetDuringPeerSync serves a mixed-version fleet — v4
+// session clients and a raw session that negotiates v2 — from one
+// federated node while peer sync runs concurrently against a second node
+// whose own fleet is also active. Run under -race in CI: allocations,
+// uploads and peer merges all interleave freely here.
 func TestMixedVersionFleetDuringPeerSync(t *testing.T) {
 	space := testSpace()
 	cfg := testServerConfig()
@@ -268,8 +267,8 @@ func TestMixedVersionFleetDuringPeerSync(t *testing.T) {
 		}(id)
 	}
 
-	// A legacy v1 client against node A: hello, then status/update rounds
-	// with fully materialized allocations.
+	// A raw session against node A that offers only v2: hello, then
+	// status/update rounds, then bye — every frame v2-framed.
 	{
 		cConn, sConn := transport.Pipe()
 		go func() { _ = protocol.ServeConn(ctx, sConn, nodeA) }()
@@ -277,31 +276,38 @@ func TestMixedVersionFleetDuringPeerSync(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer cConn.Close()
-			ack, err := v1RoundTrip(cConn, &protocol.Message{
-				Type: protocol.TypeHello, ClientID: int32(v2Clients),
+			id := int32(v2Clients)
+			ack, err := v2RoundTrip(cConn, &protocol.Message{
+				Type: protocol.TypeHello, ClientID: id, Proto: protocol.V2,
 				Hello: &protocol.Hello{NumClasses: int32(space.DS.NumClasses), NumLayers: int32(space.Arch.NumLayers)},
 			})
-			if err != nil || ack.Type != protocol.TypeHelloAck {
-				errs <- fmt.Errorf("v1 hello: type=%d err=%v", ack.Type, err)
+			if err != nil || ack.Type != protocol.TypeHelloAck || ack.Proto != protocol.V2 {
+				errs <- fmt.Errorf("v2 hello: reply=%+v err=%v", ack, err)
 				return
 			}
+			sid := ack.SessionID
+			var held uint64
 			for r := 0; r < rounds; r++ {
-				resp, err := v1RoundTrip(cConn, &protocol.Message{
-					Type: protocol.TypeStatus, ClientID: int32(v2Clients),
-					Status: &core.StatusReport{Tau: make([]int, space.DS.NumClasses), Budget: 30, RoundFrames: frames},
+				resp, err := v2RoundTrip(cConn, &protocol.Message{
+					Type: protocol.TypeStatus, ClientID: id, SessionID: sid,
+					Status: &core.StatusReport{Tau: make([]int, space.DS.NumClasses), Budget: 30, RoundFrames: frames, LastVersion: held},
 				})
-				if err != nil || resp.Type != protocol.TypeAllocation || len(resp.Allocation.Layers) == 0 {
-					errs <- fmt.Errorf("v1 status round %d: type=%d err=%v", r, resp.Type, err)
+				if err != nil || resp.Type != protocol.TypeDelta || (r == 0 && len(resp.Delta.Cells) == 0) {
+					errs <- fmt.Errorf("v2 status round %d: reply=%+v err=%v", r, resp, err)
 					return
 				}
-				up, err := v1RoundTrip(cConn, &protocol.Message{
-					Type: protocol.TypeUpdate, ClientID: int32(v2Clients),
+				held = resp.Delta.Version
+				up, err := v2RoundTrip(cConn, &protocol.Message{
+					Type: protocol.TypeUpdate, ClientID: id, SessionID: sid,
 					Update: &core.UpdateReport{Freq: make([]float64, space.DS.NumClasses)},
 				})
 				if err != nil || up.Type != protocol.TypeAck {
-					errs <- fmt.Errorf("v1 update round %d: type=%d err=%v", r, up.Type, err)
+					errs <- fmt.Errorf("v2 update round %d: reply=%+v err=%v", r, up, err)
 					return
 				}
+			}
+			if bye, err := v2RoundTrip(cConn, &protocol.Message{Type: protocol.TypeBye, ClientID: id, SessionID: sid}); err != nil || bye.Type != protocol.TypeAck {
+				errs <- fmt.Errorf("v2 bye: reply=%+v err=%v", bye, err)
 			}
 		}()
 	}
@@ -335,27 +341,44 @@ func TestMixedVersionFleetDuringPeerSync(t *testing.T) {
 		}
 	}()
 
-	// Peer sync runs concurrently with all of the above.
-	syncDone := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(syncDone)
-		for i := 0; i < 6; i++ {
-			if err := SyncNodes([]*Node{nodeA, nodeB}, topo); err != nil {
-				errs <- fmt.Errorf("sync %d: %w", i, err)
-				return
+	// Peer sync runs concurrently with all of the above until the
+	// workload signals done. Unbarriered syncs go over the wire path (a
+	// PeerSet per node, here on in-memory pipes): it never fast-forwards
+	// peer views, so an upload landing mid-sync is shipped by a later
+	// sync instead of being marked delivered. One final barriered
+	// SyncNodes then ships whatever the last uploads left behind.
+	pipeTo := func(node *Node) PeerSetConfig {
+		return PeerSetConfig{Dial: func(ctx context.Context, _ string) (transport.Conn, error) {
+			cConn, sConn := transport.Pipe()
+			go func() { _ = protocol.ServeConn(ctx, sConn, node) }()
+			return cConn, nil
+		}}
+	}
+	psA := NewPeerSetWith(nodeA, []string{"B"}, pipeTo(nodeB))
+	defer psA.Close()
+	psB := NewPeerSetWith(nodeB, []string{"A"}, pipeTo(nodeA))
+	defer psB.Close()
+	workDone := make(chan struct{})
+	go func() { wg.Wait(); close(workDone) }()
+	for running := true; running; {
+		select {
+		case <-workDone:
+			running = false
+		default:
+			for _, ps := range []*PeerSet{psA, psB} {
+				if _, err := ps.SyncOnce(ctx); err != nil {
+					t.Fatalf("wire sync: %v", err)
+				}
 			}
-			time.Sleep(time.Millisecond)
 		}
-	}()
-
-	wg.Wait()
+	}
+	if err := SyncNodes([]*Node{nodeA, nodeB}, topo); err != nil {
+		t.Fatalf("final sync: %v", err)
+	}
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
-	<-syncDone
 	if nodeA.Server().PeerMerges() == 0 && nodeB.Server().PeerMerges() == 0 {
 		t.Fatal("no peer merges happened during the mixed-version run")
 	}

@@ -6,47 +6,14 @@ import (
 	"testing"
 	"testing/quick"
 
-	"coca/internal/cache"
 	"coca/internal/core"
 	"coca/internal/model"
 	"coca/internal/vecmath"
 	"coca/internal/xrand"
 )
 
-// sampleMessagesV1 covers every legacy (wire version 1) message shape.
-func sampleMessagesV1() []*Message {
-	return []*Message{
-		{Version: V1, Type: TypeHello, ClientID: 3, Hello: &Hello{NumClasses: 50, NumLayers: 34}},
-		{Version: V1, Type: TypeHelloAck, ClientID: 3, HelloAck: &core.RegisterInfo{
-			NumClasses: 50, NumLayers: 34,
-			ProfileHitRatio: []float64{0.1, 0.5, 0.9},
-			SavedMs:         []float64{40, 20, 5},
-		}},
-		{Version: V1, Type: TypeStatus, ClientID: 7, Status: &core.StatusReport{
-			Tau:      []int{0, 3, 900},
-			HitRatio: []float64{0.2, 0.4},
-			Budget:   200, RoundFrames: 300,
-		}},
-		{Version: V1, Type: TypeAllocation, ClientID: 7, Allocation: &core.Allocation{
-			Classes: []int{4, 9},
-			Layers: []cache.Layer{
-				{Site: 2, Classes: []int{4, 9}, Entries: [][]float32{{1, 0}, {0, 1}}},
-				{Site: 8, Classes: []int{4, 9}, Entries: [][]float32{{0.5, 0.5}, {0.7, 0.1}}},
-			},
-		}},
-		{Version: V1, Type: TypeUpdate, ClientID: 1, Update: &core.UpdateReport{
-			Freq: []float64{1, 0, 7},
-			Cells: []core.UpdateCell{
-				{Class: 0, Layer: 5, Count: 3, Vec: []float32{0.1, 0.9}},
-			},
-		}},
-		{Version: V1, Type: TypeAck, ClientID: 1},
-		{Version: V1, Type: TypeError, ClientID: 2, Error: "model mismatch"},
-	}
-}
-
-// sampleMessagesV2 covers every session-protocol (wire version 2) shape.
-func sampleMessagesV2() []*Message {
+// sampleMessages covers every session-protocol shape, framed at v2.
+func sampleMessages() []*Message {
 	return []*Message{
 		{Version: V2, Type: TypeHello, ClientID: 3, Proto: V2,
 			Hello: &Hello{NumClasses: 50, NumLayers: 34}},
@@ -114,10 +81,6 @@ func sampleMessagesV2() []*Message {
 	}
 }
 
-func sampleMessages() []*Message {
-	return append(sampleMessagesV1(), sampleMessagesV2()...)
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, m := range sampleMessages() {
 		frame, err := Encode(m)
@@ -144,6 +107,40 @@ func TestEncodeDefaultsToLatestVersion(t *testing.T) {
 	}
 }
 
+// TestTypeTagsPinned pins every message type tag to its wire byte. Tag 4
+// belonged to the retired full-allocation reply and stays unused, so
+// frames from older builds keep their meaning.
+func TestTypeTagsPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		got  byte
+		want byte
+	}{
+		{"Hello", TypeHello, 1},
+		{"HelloAck", TypeHelloAck, 2},
+		{"Status", TypeStatus, 3},
+		{"Update", TypeUpdate, 5},
+		{"Ack", TypeAck, 6},
+		{"Error", TypeError, 7},
+		{"Delta", TypeDelta, 8},
+		{"Bye", TypeBye, 9},
+		{"PeerHello", TypePeerHello, 10},
+		{"PeerDelta", TypePeerDelta, 11},
+		{"PeerAck", TypePeerAck, 12},
+		{"Redirect", TypeRedirect, 13},
+		{"PeerJoin", TypePeerJoin, 14},
+		{"PeerSnapshot", TypePeerSnapshot, 15},
+		{"PeerLeave", TypePeerLeave, 16},
+		{"PeerDigestRequest", TypePeerDigestRequest, 17},
+		{"PeerDigest", TypePeerDigest, 18},
+		{"PeerPullResponse", TypePeerPullResponse, 19},
+	} {
+		if c.got != c.want {
+			t.Errorf("Type%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
 func TestDecodeRejectsVersionMismatch(t *testing.T) {
 	frame, err := Encode(&Message{Type: TypeAck})
 	if err != nil {
@@ -157,38 +154,27 @@ func TestDecodeRejectsVersionMismatch(t *testing.T) {
 	if _, err := Decode(frame); err == nil {
 		t.Fatal("version 0 accepted")
 	}
+	// Version 1 is retired: neither side of the codec speaks it.
+	frame[0] = 1
+	if _, err := Decode(frame); err == nil {
+		t.Fatal("retired version 1 decoded")
+	}
+	if _, err := Encode(&Message{Version: 1, Type: TypeAck}); err == nil {
+		t.Fatal("retired version 1 encoded")
+	}
 }
 
 func TestEncodeRejectsCrossVersionTypes(t *testing.T) {
-	// Delta and Bye do not exist in v1.
-	if _, err := Encode(&Message{Version: V1, Type: TypeDelta, Delta: &core.Delta{}}); err == nil {
-		t.Error("v1 delta accepted")
-	}
-	if _, err := Encode(&Message{Version: V1, Type: TypeBye}); err == nil {
-		t.Error("v1 bye accepted")
-	}
-	// Full allocations are only produced for v1 peers.
-	if _, err := Encode(&Message{Version: V2, Type: TypeAllocation, Allocation: &core.Allocation{}}); err == nil {
-		t.Error("v2 allocation accepted")
-	}
-	// Federation peer messages do not exist in v1.
-	if _, err := Encode(&Message{Version: V1, Type: TypePeerHello, PeerHello: &PeerHello{}}); err == nil {
-		t.Error("v1 peer hello accepted")
-	}
-	if _, err := Encode(&Message{Version: V1, Type: TypePeerDelta, PeerDelta: &PeerDelta{}}); err == nil {
-		t.Error("v1 peer delta accepted")
-	}
-	if _, err := Encode(&Message{Version: V1, Type: TypePeerAck, PeerAck: &PeerAck{}}); err == nil {
-		t.Error("v1 peer ack accepted")
-	}
-	// Redirects do not exist in v1 (legacy clients get a plain error).
-	if _, err := Encode(&Message{Version: V1, Type: TypeRedirect, Redirect: &Redirect{}}); err == nil {
-		t.Error("v1 redirect accepted")
+	// The retired full-allocation tag exists in no live version.
+	for _, v := range []byte{V2, V3, V4} {
+		if _, err := Encode(&Message{Version: v, Type: 4}); err == nil {
+			t.Errorf("v%d reserved tag 4 accepted", v)
+		}
 	}
 }
 
 func TestDecodeRejectsUnknownType(t *testing.T) {
-	for _, v := range []byte{V1, V2} {
+	for _, v := range []byte{V2, V3, V4} {
 		frame, err := Encode(&Message{Version: v, Type: TypeAck})
 		if err != nil {
 			t.Fatal(err)
@@ -218,7 +204,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 }
 
 func TestDecodeRejectsTrailingBytes(t *testing.T) {
-	for _, v := range []byte{V1, V2} {
+	for _, v := range []byte{V2, V3, V4} {
 		frame, err := Encode(&Message{Version: v, Type: TypeAck, ClientID: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -233,11 +219,6 @@ func TestEncodeRejectsMissingPayload(t *testing.T) {
 	for _, typ := range []byte{TypeHello, TypeHelloAck, TypeStatus, TypeUpdate, TypeDelta, TypePeerHello, TypePeerDelta, TypePeerAck} {
 		if _, err := Encode(&Message{Type: typ}); err == nil {
 			t.Errorf("type %d with nil payload accepted", typ)
-		}
-	}
-	for _, typ := range []byte{TypeHello, TypeHelloAck, TypeStatus, TypeAllocation, TypeUpdate} {
-		if _, err := Encode(&Message{Version: V1, Type: typ}); err == nil {
-			t.Errorf("v1 type %d with nil payload accepted", typ)
 		}
 	}
 	if _, err := Encode(&Message{Type: 0x55}); err == nil {
@@ -290,11 +271,12 @@ func TestPropertyStatusRoundTrip(t *testing.T) {
 		for j := range st.HitRatio {
 			st.HitRatio[j] = r.Float64()
 		}
-		m := &Message{Version: V1, Type: TypeStatus, ClientID: int32(r.IntN(200)), Status: st}
+		m := &Message{Version: V2, Type: TypeStatus, ClientID: int32(r.IntN(200)),
+			SessionID: r.Uint64(), Status: st}
+		st.LastVersion = r.Uint64()
 		if version {
-			m.Version = V2
-			m.SessionID = r.Uint64()
-			st.LastVersion = r.Uint64()
+			m.Version = V3
+			m.DeadlineMicros = r.Uint64()
 		}
 		frame, err := Encode(m)
 		if err != nil {
@@ -311,11 +293,11 @@ func TestPropertyStatusRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSteadyStateDeltaSmallerThanV1Full is the wire-cost argument for the
-// v2 protocol: after the first round, an unchanged-shape allocation
-// encodes as a near-empty delta, far below the v1 full materialization of
-// the same cache.
-func TestSteadyStateDeltaSmallerThanV1Full(t *testing.T) {
+// TestSteadyStateDeltaSmallerThanFull is the wire-cost argument for the
+// delta protocol: after the first round, an unchanged-shape allocation
+// encodes as a near-empty delta, far below the full materialization of
+// the same cache that the session's first round carried.
+func TestSteadyStateDeltaSmallerThanFull(t *testing.T) {
 	srv, _ := testServer(t)
 	ctx := context.Background()
 	sess, err := srv.Open(ctx, 0)
@@ -331,10 +313,12 @@ func TestSteadyStateDeltaSmallerThanV1Full(t *testing.T) {
 	if !first.Full {
 		t.Fatal("first allocation must be full")
 	}
-	view := core.NewAllocView()
-	if err := view.Apply(first); err != nil {
+	// The session reuses its delta scratch, so encode the full round now.
+	fullFrame, err := Encode(&Message{Type: TypeDelta, SessionID: 1, Delta: &first})
+	if err != nil {
 		t.Fatal(err)
 	}
+	firstCells := len(first.Cells)
 
 	// Steady state with a little churn: one cell of the held allocation
 	// is refreshed by an upload before the next round.
@@ -348,7 +332,7 @@ func TestSteadyStateDeltaSmallerThanV1Full(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	status.LastVersion = view.Version()
+	status.LastVersion = first.Version
 	second, err := sess.Allocate(ctx, status)
 	if err != nil {
 		t.Fatal(err)
@@ -356,26 +340,18 @@ func TestSteadyStateDeltaSmallerThanV1Full(t *testing.T) {
 	if second.Full {
 		t.Fatal("steady-state allocation should be a delta, not full")
 	}
-	if len(second.Cells) >= len(first.Cells) {
-		t.Fatalf("steady-state delta carries %d cells, full allocation %d", len(second.Cells), len(first.Cells))
+	if len(second.Cells) >= firstCells {
+		t.Fatalf("steady-state delta carries %d cells, full allocation %d", len(second.Cells), firstCells)
 	}
 
 	deltaFrame, err := Encode(&Message{Type: TypeDelta, SessionID: 1, Delta: &second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := view.Apply(second); err != nil {
-		t.Fatal(err)
-	}
-	alloc := view.Allocation()
-	fullFrame, err := Encode(&Message{Version: V1, Type: TypeAllocation, Allocation: &alloc})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(deltaFrame) >= len(fullFrame) {
-		t.Fatalf("steady-state delta (%d bytes) not smaller than v1 full allocation (%d bytes)",
+		t.Fatalf("steady-state delta (%d bytes) not smaller than the full allocation (%d bytes)",
 			len(deltaFrame), len(fullFrame))
 	}
-	t.Logf("steady-state delta %d bytes vs v1 full allocation %d bytes (%.1f%%)",
+	t.Logf("steady-state delta %d bytes vs full allocation %d bytes (%.1f%%)",
 		len(deltaFrame), len(fullFrame), 100*float64(len(deltaFrame))/float64(len(fullFrame)))
 }

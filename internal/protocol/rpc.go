@@ -16,9 +16,9 @@ import (
 )
 
 // SessionClient implements core.Coordinator over a transport connection
-// with protocol v2: Open performs the Hello handshake (negotiating the
-// wire version and obtaining a server session id) and returns a
-// core.Session whose Allocate receives versioned deltas. One connection
+// with the session protocol: Open performs the Hello handshake
+// (negotiating the wire version and obtaining a server session id) and
+// returns a core.Session whose Allocate receives versioned deltas. One connection
 // can carry several sessions; round trips are serialized on the
 // connection, matching the strictly request/response wire format.
 type SessionClient struct {
@@ -570,20 +570,11 @@ func (pc *PeerClient) SendPull(q *PeerDigestRequest) (pull *PeerPullResponse, re
 // Close releases the underlying connection.
 func (pc *PeerClient) Close() error { return pc.conn.Close() }
 
-// v1Peer is the per-connection state of a legacy (v1) client: its core
-// session plus the server-side view used to materialize full allocations
-// from the session's deltas.
-type v1Peer struct {
-	sess core.Session
-	view *core.AllocView
-}
-
 // connState tracks everything a connection's sessions own, so it can be
 // released when the peer disconnects.
 type connState struct {
-	coord core.Coordinator
-	v2    map[uint64]core.Session
-	v1    map[int32]*v1Peer
+	coord    core.Coordinator
+	sessions map[uint64]core.Session
 	// peerHello records that the connection completed a federation peer
 	// handshake (gates TypePeerDelta); peerProto is the version negotiated
 	// by that handshake (min of the peer's offer and this build), which
@@ -600,21 +591,19 @@ type connState struct {
 }
 
 func (cs *connState) closeAll() {
-	for _, s := range cs.v2 {
+	for _, s := range cs.sessions {
 		_ = s.Close()
-	}
-	for _, p := range cs.v1 {
-		_ = p.sess.Close()
 	}
 }
 
 // ServeConn drives one client connection against the coordinator until
 // the peer disconnects or ctx is canceled (which closes the connection
-// and drains the handler). It speaks both wire versions, keyed per frame.
-// Malformed requests receive a TypeError reply; transport failures end
+// and drains the handler). It speaks every live wire version, keyed per
+// frame. Malformed requests — frames of a retired version included —
+// receive a TypeError reply naming the problem; transport failures end
 // the session. It returns nil on orderly shutdown.
 func ServeConn(ctx context.Context, conn transport.Conn, coord core.Coordinator) error {
-	cs := &connState{coord: coord, v2: make(map[uint64]core.Session), v1: make(map[int32]*v1Peer)}
+	cs := &connState{coord: coord, sessions: make(map[uint64]core.Session)}
 	defer cs.closeAll()
 
 	done := make(chan struct{})
@@ -657,9 +646,6 @@ func (cs *connState) handle(ctx context.Context, frame []byte) *Message {
 	if err != nil {
 		return &Message{Type: TypeError, Error: err.Error()}
 	}
-	if m.Version == V1 {
-		return cs.handleV1(ctx, m)
-	}
 	return cs.handleSession(ctx, m, len(frame))
 }
 
@@ -669,12 +655,11 @@ func errorReply(version byte, clientID int32, sessionID uint64, format string, a
 }
 
 // failureReply maps a coordinator error to its wire form: a
-// core.RedirectError becomes a TypeRedirect frame for v2+ peers (v1 has
-// no redirect concept, so legacy clients see a plain error), everything
-// else a TypeError.
+// core.RedirectError becomes a TypeRedirect frame, everything else a
+// TypeError.
 func failureReply(version byte, clientID int32, sessionID uint64, err error) *Message {
 	var re *core.RedirectError
-	if version >= V2 && errors.As(err, &re) {
+	if errors.As(err, &re) {
 		return &Message{Version: version, Type: TypeRedirect, ClientID: clientID, SessionID: sessionID,
 			Redirect: &Redirect{Addr: re.Addr, Reason: re.Reason}}
 	}
@@ -721,7 +706,7 @@ func expiredReply(version byte, clientID int32, sessionID uint64) *Message {
 	return errorReply(version, clientID, sessionID, "deadline expired at dequeue")
 }
 
-// handleSession serves the session protocol (wire v2 and v3). Replies
+// handleSession serves the session protocol (every live version). Replies
 // are framed at the version the request arrived in, so a negotiated-down
 // connection never sees frames it cannot decode. frameLen is the
 // received frame's size, accounted as sync traffic for peer deltas.
@@ -730,7 +715,7 @@ func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int
 	switch m.Type {
 	case TypeHello:
 		if m.Proto < V2 {
-			return errorReply(v, m.ClientID, 0, "client offered protocol %d; reissue the hello as a v1 frame", m.Proto)
+			return errorReply(v, m.ClientID, 0, "client offered protocol %d; this server speaks %d..%d", m.Proto, V2, Version)
 		}
 		sess, info, err := cs.open(ctx, m.ClientID, m.Hello)
 		if err != nil {
@@ -743,10 +728,10 @@ func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int
 			proto = Version
 		}
 		id := sessionID(sess)
-		cs.v2[id] = sess
+		cs.sessions[id] = sess
 		return &Message{Version: v, Type: TypeHelloAck, ClientID: m.ClientID, SessionID: id, Proto: proto, HelloAck: &info}
 	case TypeStatus:
-		sess, ok := cs.v2[m.SessionID]
+		sess, ok := cs.sessions[m.SessionID]
 		if !ok {
 			return errorReply(v, m.ClientID, m.SessionID, "unknown session %d", m.SessionID)
 		}
@@ -761,7 +746,7 @@ func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int
 		}
 		return &Message{Version: v, Type: TypeDelta, ClientID: m.ClientID, SessionID: m.SessionID, Delta: &delta}
 	case TypeUpdate:
-		sess, ok := cs.v2[m.SessionID]
+		sess, ok := cs.sessions[m.SessionID]
 		if !ok {
 			return errorReply(v, m.ClientID, m.SessionID, "unknown session %d", m.SessionID)
 		}
@@ -776,11 +761,11 @@ func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int
 		}
 		return &Message{Version: v, Type: TypeAck, ClientID: m.ClientID, SessionID: m.SessionID}
 	case TypeBye:
-		sess, ok := cs.v2[m.SessionID]
+		sess, ok := cs.sessions[m.SessionID]
 		if !ok {
 			return errorReply(v, m.ClientID, m.SessionID, "unknown session %d", m.SessionID)
 		}
-		delete(cs.v2, m.SessionID)
+		delete(cs.sessions, m.SessionID)
 		_ = sess.Close()
 		return &Message{Version: v, Type: TypeAck, ClientID: m.ClientID, SessionID: m.SessionID}
 	case TypePeerHello:
@@ -881,51 +866,6 @@ func negotiatePeer(offer byte) byte {
 		return V2
 	}
 	return offer
-}
-
-// handleV1 serves legacy clients: sessions are keyed by client id, and
-// every status reply is the session's delta materialized to a full
-// allocation (v1 clients report no held version, so deltas are full).
-func (cs *connState) handleV1(ctx context.Context, m *Message) *Message {
-	switch m.Type {
-	case TypeHello:
-		sess, info, err := cs.open(ctx, m.ClientID, m.Hello)
-		if err != nil {
-			return errorReply(V1, m.ClientID, 0, "%v", err)
-		}
-		if old, ok := cs.v1[m.ClientID]; ok {
-			_ = old.sess.Close()
-		}
-		cs.v1[m.ClientID] = &v1Peer{sess: sess, view: core.NewAllocView()}
-		return &Message{Version: V1, Type: TypeHelloAck, ClientID: m.ClientID, HelloAck: &info}
-	case TypeStatus:
-		peer, ok := cs.v1[m.ClientID]
-		if !ok {
-			return errorReply(V1, m.ClientID, 0, "client %d has not sent hello", m.ClientID)
-		}
-		status := *m.Status
-		status.LastVersion = 0 // v1 clients hold no versioned view
-		delta, err := peer.sess.Allocate(ctx, status)
-		if err != nil {
-			return errorReply(V1, m.ClientID, 0, "%v", err)
-		}
-		if err := peer.view.Apply(delta); err != nil {
-			return errorReply(V1, m.ClientID, 0, "%v", err)
-		}
-		alloc := peer.view.Allocation()
-		return &Message{Version: V1, Type: TypeAllocation, ClientID: m.ClientID, Allocation: &alloc}
-	case TypeUpdate:
-		peer, ok := cs.v1[m.ClientID]
-		if !ok {
-			return errorReply(V1, m.ClientID, 0, "client %d has not sent hello", m.ClientID)
-		}
-		if err := peer.sess.Upload(ctx, *m.Update); err != nil {
-			return errorReply(V1, m.ClientID, 0, "%v", err)
-		}
-		return &Message{Version: V1, Type: TypeAck, ClientID: m.ClientID}
-	default:
-		return errorReply(V1, m.ClientID, 0, "unexpected request type %d", m.Type)
-	}
 }
 
 // sessionID extracts the server-assigned id when the coordinator is the

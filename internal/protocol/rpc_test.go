@@ -284,18 +284,24 @@ func TestUnknownSessionRejected(t *testing.T) {
 	_ = cConn.Close()
 }
 
-// v1RoundTrip performs one raw v1 exchange against a serve loop.
-func v1RoundTrip(t *testing.T, conn transport.Conn, req *Message) *Message {
-	t.Helper()
-	req.Version = V1
-	frame, err := Encode(req)
-	if err != nil {
+// TestServeConnRejectsV1 checks that a client speaking the retired wire
+// version 1 gets an error naming the supported range and opens nothing.
+func TestServeConnRejectsV1(t *testing.T) {
+	srv, space := testServer(t)
+	cConn, sConn := transport.Pipe()
+	go func() { _ = ServeConn(context.Background(), sConn, srv) }()
+
+	// A v1 Hello: version, type, client id, then the model shape.
+	w := &writer{}
+	w.u8(1)
+	w.u8(TypeHello)
+	w.i32(4)
+	w.i32(int32(space.DS.NumClasses))
+	w.i32(int32(space.Arch.NumLayers))
+	if err := cConn.Send(w.buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Send(frame); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := conn.Recv()
+	resp, err := cConn.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,54 +309,12 @@ func v1RoundTrip(t *testing.T, conn transport.Conn, req *Message) *Message {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
-}
-
-// TestServeConnSpeaksV1 exercises the legacy client flow end to end: a
-// peer that only speaks wire version 1 registers, requests an allocation
-// and uploads, receiving fully materialized v1 replies.
-func TestServeConnSpeaksV1(t *testing.T) {
-	srv, space := testServer(t)
-	cConn, sConn := transport.Pipe()
-	go func() { _ = ServeConn(context.Background(), sConn, srv) }()
-
-	ack := v1RoundTrip(t, cConn, &Message{
-		Type: TypeHello, ClientID: 4,
-		Hello: &Hello{NumClasses: int32(space.DS.NumClasses), NumLayers: int32(space.Arch.NumLayers)},
-	})
-	if ack.Type != TypeHelloAck || ack.Version != V1 || ack.HelloAck == nil {
-		t.Fatalf("v1 hello reply: %+v", ack)
+	want := fmt.Sprintf("%d..%d", V2, Version)
+	if m.Type != TypeError || !strings.Contains(m.Error, want) {
+		t.Fatalf("v1 hello reply %+v, want an error naming versions %s", m, want)
 	}
-	if ack.HelloAck.NumClasses != 10 || ack.HelloAck.NumLayers != 13 {
-		t.Fatalf("v1 register info %+v", ack.HelloAck)
-	}
-
-	for round := 0; round < 2; round++ {
-		resp := v1RoundTrip(t, cConn, &Message{
-			Type: TypeStatus, ClientID: 4,
-			Status: &core.StatusReport{Tau: make([]int, 10), Budget: 30, RoundFrames: 300},
-		})
-		if resp.Type != TypeAllocation || resp.Version != V1 || resp.Allocation == nil {
-			t.Fatalf("v1 status reply: %+v", resp)
-		}
-		if len(resp.Allocation.Layers) == 0 {
-			t.Fatalf("round %d: empty v1 allocation", round)
-		}
-		total := 0
-		for _, l := range resp.Allocation.Layers {
-			total += l.Len()
-		}
-		if total == 0 || total > 30 {
-			t.Fatalf("round %d: v1 allocation size %d outside (0, 30]", round, total)
-		}
-	}
-
-	up := v1RoundTrip(t, cConn, &Message{
-		Type: TypeUpdate, ClientID: 4,
-		Update: &core.UpdateReport{Freq: make([]float64, 10)},
-	})
-	if up.Type != TypeAck || up.Version != V1 {
-		t.Fatalf("v1 update reply: %+v", up)
+	if n := srv.Sessions(); n != 0 {
+		t.Fatalf("server holds %d sessions after a v1 hello", n)
 	}
 	_ = cConn.Close()
 }

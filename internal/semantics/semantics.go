@@ -548,7 +548,7 @@ func (s *Space) PredictScratch(sc *Scratch, smp dataset.Sample, env *Env) Predic
 	s.SampleVectorInto(sc.vec, smp, s.FinalLayer(), env, sc)
 	temp := float32(softmaxTemp * (1 + 3*smp.Difficulty))
 	// The staged-row dot kernel against the space's widened final
-	// prototypes is bitwise identical to Dots over the float32 rows
+	// prototypes is bitwise identical to Dot over each float32 row
 	// (widening is exact; chains accumulate in index order).
 	vecmath.WidenVec(sc.vec, sc.vec64)
 	vecmath.DotsWidenedRows(sc.vec64, s.finalsWide, sc.logits)

@@ -96,38 +96,6 @@ func SquaredNorm(v []float32) float64 {
 	return s
 }
 
-// dots4 accumulates four independent dot-product chains of vec against
-// e0..e3, each in index order.
-func dots4(vec, e0, e1, e2, e3 []float32) (d0, d1, d2, d3 float64) {
-	e0 = e0[:len(vec)]
-	e1 = e1[:len(vec)]
-	e2 = e2[:len(vec)]
-	e3 = e3[:len(vec)]
-	for k, x := range vec {
-		xv := float64(x)
-		d0 += xv * float64(e0[k])
-		d1 += xv * float64(e1[k])
-		d2 += xv * float64(e2[k])
-		d3 += xv * float64(e3[k])
-	}
-	return
-}
-
-// cosineFromParts finishes one cosine from its three accumulated parts with
-// exactly Cosine's arithmetic (including the float32 rounding and clamping).
-func cosineFromParts(dot, na, nb float64) float32 {
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	c := dot / (math.Sqrt(na) * math.Sqrt(nb))
-	if c > 1 {
-		c = 1
-	} else if c < -1 {
-		c = -1
-	}
-	return float32(c)
-}
-
 // cosineFromSqrts finishes one cosine from its accumulated dot and the
 // two PRE-COMPUTED square-root norms, with exactly Cosine's arithmetic:
 // Cosine computes dot/(Sqrt(na)*Sqrt(nb)), so caching each operand's
@@ -186,54 +154,6 @@ func WidenVec(vec []float32, dst []float64) float64 {
 		s += xv * xv
 	}
 	return s
-}
-
-// dots4w accumulates four dot chains of the widened query against four
-// widened entry rows, each chain in index order.
-func dots4w(vec, e0, e1, e2, e3 []float64) (d0, d1, d2, d3 float64) {
-	e0 = e0[:len(vec)]
-	e1 = e1[:len(vec)]
-	e2 = e2[:len(vec)]
-	e3 = e3[:len(vec)]
-	for k, xv := range vec {
-		d0 += xv * e0[k]
-		d1 += xv * e1[k]
-		d2 += xv * e2[k]
-		d3 += xv * e3[k]
-	}
-	return
-}
-
-// CosinesWidened fills out[i] with Cosine(vec, entries[i]) where wide and
-// norm2 are the Widen64 staging of the entries and vec64 is the widened
-// query (use Widen64 on the single-vector slice, or convert in place).
-// vecNorm2 = SquaredNorm of the original query. Results are bitwise
-// identical to Cosine: widening is exact and every chain accumulates in
-// index order. Allocation-free.
-func CosinesWidened(vec64 []float64, vecNorm2 float64, wide []float64, dim, n int, norm2 []float64, out []float32) {
-	if len(wide) < n*dim || len(norm2) < n || len(out) < n {
-		panic(fmt.Sprintf("vecmath: CosinesWidened staging %d/%d/%d too small for %d×%d",
-			len(wide), len(norm2), len(out), n, dim))
-	}
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		base := i * dim
-		d0, d1, d2, d3 := dots4w(vec64,
-			wide[base:base+dim], wide[base+dim:base+2*dim],
-			wide[base+2*dim:base+3*dim], wide[base+3*dim:base+4*dim])
-		out[i] = cosineFromParts(d0, vecNorm2, norm2[i])
-		out[i+1] = cosineFromParts(d1, vecNorm2, norm2[i+1])
-		out[i+2] = cosineFromParts(d2, vecNorm2, norm2[i+2])
-		out[i+3] = cosineFromParts(d3, vecNorm2, norm2[i+3])
-	}
-	for ; i < n; i++ {
-		row := wide[i*dim : i*dim+dim][:len(vec64)]
-		var dot float64
-		for k, xv := range vec64 {
-			dot += xv * row[k]
-		}
-		out[i] = cosineFromParts(dot, vecNorm2, norm2[i])
-	}
 }
 
 // dots4r accumulates four dot chains of the widened query against four
@@ -441,23 +361,6 @@ func WidenRow(v []float32) ([]float64, float64) {
 		s += xv * xv
 	}
 	return row, s
-}
-
-// Dots fills out[i] with Dot(vec, entries[i]), tiled four entries at a time;
-// each chain accumulates in index order so results are bitwise identical to
-// Dot. It panics on length mismatches. Allocation-free.
-func Dots(vec []float32, entries [][]float32, out []float32) {
-	if len(out) < len(entries) {
-		panic(fmt.Sprintf("vecmath: Dots out length %d < %d", len(out), len(entries)))
-	}
-	i := 0
-	for ; i+4 <= len(entries); i += 4 {
-		d0, d1, d2, d3 := dots4(vec, entries[i], entries[i+1], entries[i+2], entries[i+3])
-		out[i], out[i+1], out[i+2], out[i+3] = float32(d0), float32(d1), float32(d2), float32(d3)
-	}
-	for ; i < len(entries); i++ {
-		out[i] = Dot(vec, entries[i])
-	}
 }
 
 // Axpy computes dst[i] += alpha*x[i] in place.
