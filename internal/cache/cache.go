@@ -70,12 +70,12 @@ type Layer struct {
 	Entries [][]float32
 
 	// Wide[i] and Norm2[i] are entry i's widened float64 mirror and
-	// squared norm — probe staging computed once when the entry is
-	// published (global-table merge, allocation apply, or Stage) and then
-	// shared read-only by every probe, batch and round. Layers built from
-	// the coordinator's allocation path arrive pre-staged with mirrors
-	// borrowed from the immutable-once-published global-table entries;
-	// Stage fills the staging for layers assembled by hand.
+	// squared norm — probe staging computed once per entry (on the global
+	// table's first staged extraction of it, on a wire allocation's apply,
+	// or by Stage) and then shared read-only by every probe, batch and
+	// round. Layers built from the coordinator's allocation path arrive
+	// pre-staged with mirrors borrowed from the global table; Stage fills
+	// the staging for layers assembled by hand.
 	Wide  [][]float64
 	Norm2 []float64
 
@@ -106,9 +106,9 @@ func (l *Layer) MaxClass() int {
 // Stage computes the layer's probe staging — widened entry mirrors,
 // squared norms and the max class id — unless already present, and marks
 // the layer staged. Entry mirrors handed in by the allocation path (Wide
-// and Norm2 covering every entry) are kept: they were computed when the
-// entries were published and widening is exact, so recomputing could only
-// reproduce them. Stage must complete before a layer is probed
+// and Norm2 covering every entry) are kept: they were computed from these
+// very entries and widening is exact, so recomputing could only reproduce
+// them. Stage must complete before a layer is probed
 // concurrently; staged layers are read-only thereafter.
 func (l *Layer) Stage() {
 	if l.staged {
@@ -316,7 +316,7 @@ func (layer *Layer) maxClass() int {
 // Probe runs the Eq. 1 / Eq. 2 update for one activated layer against the
 // sample's semantic vector at that layer. Staged layers (every layer a
 // client receives through the allocation path) score through the widened
-// row kernel — the query is widened once and the entries' publish-time
+// row kernel — the query is widened once and the entries' staged
 // mirrors and norms are reused, instead of Cosine re-deriving both norms
 // per pair; results are bitwise identical either way. Steady-state calls
 // are allocation-free.
@@ -394,8 +394,8 @@ func (l *Lookup) Accumulated() map[int]float64 {
 // BatchProbe probes one layer for a whole batch of samples at once,
 // producing exactly the Results of per-sample Probe calls while running
 // the scoring as one blocked multi-query kernel: the batch's queries are
-// widened once, the layer's publish-time entry staging (widened mirrors
-// and squared norms, computed at merge/publish and shared read-only) is
+// widened once, the layer's entry staging (widened mirrors and squared
+// norms, computed once per entry and shared read-only) is
 // borrowed instead of re-widening the layer per (layer, batch), and
 // vecmath.CosinesBatchWidenedRows streams the entry rows through cache
 // once per query tile instead of once per sample. Unstaged layers are
@@ -412,8 +412,8 @@ type BatchProbe struct {
 	scores []float32   // batch × entries score matrix, stride = entries
 }
 
-// stage returns the layer's entry staging, borrowing the publish-time
-// mirrors when present and otherwise widening into batch-owned scratch.
+// stage returns the layer's entry staging, borrowing the staged mirrors
+// when present and otherwise widening into batch-owned scratch.
 func (bp *BatchProbe) stage(layer *Layer, n, dim int) (rows [][]float64, snorm []float64) {
 	if layer.staged {
 		return layer.Wide, layer.snorm

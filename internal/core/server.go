@@ -178,8 +178,9 @@ type Server struct {
 // paper's global shared dataset by design), or experiment arms run at the
 // same seed — build one ServerInit and hand it to every NewServerFrom
 // call instead of repeating the work. The init is immutable once built and
-// safe to share: every server clones the table into its own mutable
-// sharded state.
+// safe to share: every server's sharded table borrows the init's entries
+// and replaces (never mutates) a cell on its first write, so servers built
+// from one init share that memory until their writes diverge.
 type ServerInit struct {
 	table   *gtable.Table
 	profile []float64
@@ -470,12 +471,14 @@ func (s *Server) Open(ctx context.Context, clientID int) (Session, error) {
 
 // targetCell is one cell of a freshly computed allocation, with the table
 // version backing its entry. vec is a borrowed reference to the live
-// (immutable-once-published) global-table entry.
+// (immutable-once-published) global-table entry; wide and norm2 are its
+// probe staging, installed by the extraction that first read the entry
+// and borrowed like it.
 type targetCell struct {
 	ref   CellRef
 	vec   []float32
 	ver   uint64
-	wide  []float64 // publish-time staging of vec (borrowed, immutable)
+	wide  []float64
 	norm2 float64
 }
 

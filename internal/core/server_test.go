@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"coca/internal/dataset"
+	"coca/internal/gtable"
 	"coca/internal/model"
 	"coca/internal/semantics"
 	"coca/internal/vecmath"
@@ -303,6 +304,73 @@ func TestNewServerFromSharedInit(t *testing.T) {
 		}
 	}()
 	NewServerFrom(space, ServerConfig{Theta: 0.02, Seed: 8}, init)
+}
+
+// TestSharedInitIsolatesServers checks that servers built from one
+// ServerInit, which share its entries until a write replaces them, stay
+// isolated: uploads, peer merges, an anti-entropy adoption and staged
+// extractions on one server leave another's table bitwise equal to that
+// of a freshly built server.
+func TestSharedInitIsolatesServers(t *testing.T) {
+	space := smallSpace()
+	cfg := ServerConfig{Theta: 0.035, Seed: 7, ProfileSamples: 200, InitSamplesPerClass: 16}
+	init := BuildServerInit(space, cfg)
+	a := NewServerFrom(space, cfg, init)
+	b := NewServerFrom(space, cfg, init)
+
+	ctx := context.Background()
+	sess := testSession(t, a, 0)
+	if _, err := sess.Allocate(ctx, neutralStatus(0)); err != nil {
+		t.Fatal(err)
+	}
+	r := xrand.New(11)
+	upd := UpdateReport{Freq: make([]float64, space.DS.NumClasses)}
+	for c := 0; c < 4; c++ {
+		vec := xrand.NormalVector(r, model.Dim)
+		vecmath.Normalize(vec)
+		upd.Cells = append(upd.Cells, UpdateCell{Class: c, Layer: c + 1, Count: 3, Vec: vec})
+		upd.Freq[c] = 3
+	}
+	if err := sess.Upload(ctx, upd); err != nil {
+		t.Fatal(err)
+	}
+	peer := xrand.NormalVector(r, model.Dim)
+	vecmath.Normalize(peer)
+	if _, _, err := a.MergePeerCell(5, 2, peer, 8, 0); err != nil {
+		t.Fatal(err)
+	}
+	if ver, err := a.AdoptPeerCell(6, 3, peer, 32, 1e6); err != nil || ver == 0 {
+		t.Fatalf("adopt: ver %d, err %v", ver, err)
+	}
+	if _, err := sess.Allocate(ctx, neutralStatus(1)); err != nil {
+		t.Fatal(err)
+	}
+
+	tb, fresh := b.Table(), NewServer(space, cfg).Table()
+	if changed := a.Table(); cellsEqual(changed, fresh) {
+		t.Fatal("server A's writes did not change its table")
+	}
+	if !cellsEqual(tb, fresh) {
+		t.Fatal("writes on one server reached another server built from the same init")
+	}
+}
+
+// cellsEqual reports whether two tables hold bitwise-equal entries.
+func cellsEqual(x, y *gtable.Table) bool {
+	for c := 0; c < x.Classes(); c++ {
+		for j := 0; j < x.Layers(); j++ {
+			vx, vy := x.Get(c, j), y.Get(c, j)
+			if len(vx) != len(vy) {
+				return false
+			}
+			for d := range vx {
+				if math.Float32bits(vx[d]) != math.Float32bits(vy[d]) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // TestAllocationCarriesPublishStaging checks the staging flow of the

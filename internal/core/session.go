@@ -51,12 +51,12 @@ type CellRef struct {
 }
 
 // DeltaCell is one new or changed cache cell with its entry vector.
-// Wide and Norm2 are the entry's publish-time probe staging (widened
-// float64 mirror and squared norm, computed once when the global-table
-// cell was merged/published). In-process sessions fill them — the mirrors
-// are immutable-once-published table memory, shared read-only — while
-// wire transports ship only Vec and the receiving view restages on apply
-// (once per changed cell, never per round).
+// Wide and Norm2 are the entry's probe staging (widened float64 mirror
+// and squared norm), computed once per published entry by the global
+// table's first staged extraction of it. In-process sessions fill them —
+// the mirrors are immutable table memory, shared read-only — while wire
+// transports ship only Vec and the receiving view restages on apply (once
+// per changed cell, never per round).
 type DeltaCell struct {
 	Site, Class int
 	Vec         []float32

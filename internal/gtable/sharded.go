@@ -37,10 +37,13 @@ type shardRow struct {
 	vers    []uint64    // [layer] -> write version (0 = never written)
 	support []float64   // [layer] -> evidence count Φ (capped)
 	// wide and norm2 are each entry's probe staging — the widened float64
-	// mirror and squared norm — computed once when the entry is published
-	// (entries are immutable once published, so the staging is too) and
-	// borrowed read-only by every extraction, session, client and round.
-	wide  [][]float64 // [layer] -> widened mirror of vecs[layer] or nil
+	// mirror and squared norm — computed on the first staged extraction of
+	// the entry (see ExtractLayerStagedInto) and borrowed read-only by every
+	// later extraction, session, client and round until a publish replaces
+	// the entry and clears them. Entries are immutable once published, so
+	// an installed mirror is too; cells no staged reader extracts never pay
+	// for one.
+	wide  [][]float64 // [layer] -> widened mirror of vecs[layer] or nil (unstaged)
 	norm2 []float64   // [layer] -> squared norm of vecs[layer]
 	// evtotal is the uncapped, monotone evidence accumulated by the cell
 	// over its lifetime. Where support is the capped sliding-window weight
@@ -70,16 +73,20 @@ func NewSharded(classes, layers, dim int) *Sharded {
 	return s
 }
 
-// ShardedFromTable copies a materialized table into a sharded one, giving
+// ShardedFromTable builds a sharded table over a materialized one, giving
 // every populated cell the initial support count (the evidence behind the
-// shared-dataset centers) and version 1.
+// shared-dataset centers) and version 1. The sharded table borrows the
+// source's entry slices instead of copying them: both tables replace
+// entries and never mutate them, so every sharded table built from one
+// source shares its memory until a write replaces a cell, and no write to
+// either table ever reaches the other.
 func ShardedFromTable(t *Table, initialSupport float64) *Sharded {
 	s := NewSharded(t.Classes(), t.Layers(), t.Dim())
 	for c := 0; c < t.Classes(); c++ {
 		row := &s.rows[c]
 		for j := 0; j < t.Layers(); j++ {
 			if v := t.Get(c, j); v != nil {
-				row.publish(j, vecmath.Clone(v))
+				row.publish(j, v)
 				row.vers[j] = 1
 				row.support[j] = initialSupport
 				row.evtotal[j] = initialSupport
@@ -98,13 +105,32 @@ func (s *Sharded) Layers() int { return s.layers }
 // Dim returns the entry dimensionality.
 func (s *Sharded) Dim() int { return s.dim }
 
-// publish stores v as the cell's entry together with its probe staging
-// (widened mirror + squared norm), computed once here so every later
-// probe borrows it instead of re-widening. Callers hold the row lock and
-// manage version/support bookkeeping themselves.
+// publish stores v as the cell's entry and drops the previous entry's
+// probe staging; the first staged extraction of v widens it (see stage).
+// Callers hold the row lock and manage version/support bookkeeping
+// themselves.
 func (r *shardRow) publish(layer int, v []float32) {
 	r.vecs[layer] = v
-	r.wide[layer], r.norm2[layer] = vecmath.WidenRow(v)
+	r.wide[layer], r.norm2[layer] = nil, 0
+}
+
+// stage returns the probe staging of v, an entry the caller read from
+// the cell without holding the lock. The mirror is computed outside the
+// lock, then installed under it only if the cell still holds v; a mirror
+// another reader installed first is adopted instead. When a publish
+// replaced v in the meantime, the private mirror serves this read alone.
+// Either way the returned staging matches v exactly.
+func (r *shardRow) stage(layer int, v []float32) ([]float64, float64) {
+	w, n2 := vecmath.WidenRow(v)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if cur := r.vecs[layer]; cur != nil && &cur[0] == &v[0] {
+		if r.wide[layer] != nil {
+			return r.wide[layer], r.norm2[layer]
+		}
+		r.wide[layer], r.norm2[layer] = w, n2
+	}
+	return w, n2
 }
 
 func (s *Sharded) check(class, layer int) error {
@@ -466,11 +492,13 @@ func (s *Sharded) ExtractLayerVersionedInto(layer int, classes []int, cls []int,
 }
 
 // ExtractLayerStagedInto is ExtractLayerVersionedInto extended with each
-// entry's publish-time probe staging: wide[i] and norm2[i] are the widened
-// mirror and squared norm of entries[i], borrowed like the entries
-// themselves (immutable once published, computed exactly once at
-// merge/publish). Passing nil wide/norm2 scratch grows fresh slices; hot
-// paths pass reused scratch and allocate nothing at steady state.
+// entry's probe staging: wide[i] and norm2[i] are the widened mirror and
+// squared norm of entries[i], borrowed like the entries themselves. A cell
+// is staged on its first staged extraction after a publish (see stage),
+// so the first read of a fresh entry allocates its mirror outside every
+// shard lock, and later reads borrow it. Passing nil wide/norm2 scratch
+// grows fresh slices; hot paths pass reused scratch and allocate nothing
+// at steady state.
 func (s *Sharded) ExtractLayerStagedInto(layer int, classes []int, cls []int, entries [][]float32, vers []uint64, wide [][]float64, norm2 []float64) ([]int, [][]float32, []uint64, [][]float64, []float64) {
 	for _, c := range classes {
 		if err := s.check(c, layer); err != nil {
@@ -483,13 +511,17 @@ func (s *Sharded) ExtractLayerStagedInto(layer int, classes []int, cls []int, en
 		w := row.wide[layer]
 		n2 := row.norm2[layer]
 		row.mu.RUnlock()
-		if v != nil {
-			cls = append(cls, c)
-			entries = append(entries, v)
-			vers = append(vers, ver)
-			wide = append(wide, w)
-			norm2 = append(norm2, n2)
+		if v == nil {
+			continue
 		}
+		if w == nil {
+			w, n2 = row.stage(layer, v)
+		}
+		cls = append(cls, c)
+		entries = append(entries, v)
+		vers = append(vers, ver)
+		wide = append(wide, w)
+		norm2 = append(norm2, n2)
 	}
 	return cls, entries, vers, wide, norm2
 }

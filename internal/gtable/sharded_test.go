@@ -14,7 +14,7 @@ func axis(dim, hot int) []float32 {
 	return v
 }
 
-func TestShardedFromTableCopiesEntries(t *testing.T) {
+func TestShardedFromTableSharesEntries(t *testing.T) {
 	tbl := New(3, 2, 4)
 	if err := tbl.Set(1, 1, axis(4, 2)); err != nil {
 		t.Fatal(err)
@@ -24,7 +24,10 @@ func TestShardedFromTableCopiesEntries(t *testing.T) {
 		t.Fatalf("populated = %d", s.Populated())
 	}
 	if got := s.Get(1, 1); got == nil || got[2] != 1 {
-		t.Fatalf("entry not copied: %v", got)
+		t.Fatalf("entry not carried over: %v", got)
+	}
+	if &s.rows[1].vecs[1][0] != &tbl.Get(1, 1)[0] {
+		t.Fatal("sharded table must borrow the source entry, not copy it")
 	}
 	if s.CellVersion(1, 1) != 1 {
 		t.Fatalf("initial version = %d, want 1", s.CellVersion(1, 1))
@@ -32,7 +35,8 @@ func TestShardedFromTableCopiesEntries(t *testing.T) {
 	if s.CellVersion(0, 0) != 0 {
 		t.Fatal("absent cell must have version 0")
 	}
-	// Mutating the sharded copy must not touch the source table.
+	// A write to the sharded table replaces the borrowed entry; it must
+	// never reach the source table.
 	if err := s.Set(1, 1, axis(4, 0), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +158,7 @@ func TestShardedConcurrentMergeAndExtract(t *testing.T) {
 		all[i] = i
 	}
 	var wg sync.WaitGroup
-	errs := make(chan error, 64)
+	errs := make(chan error, 24) // at most one error per goroutine
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -180,12 +184,58 @@ func TestShardedConcurrentMergeAndExtract(t *testing.T) {
 			}
 			_ = s.Snapshot()
 		}(w)
+		// Staged readers race the merges and each other to install a
+		// cell's mirror: whoever wins, every returned mirror must be the
+		// exact staging of the entry returned with it.
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var (
+				cls     []int
+				entries [][]float32
+				vers    []uint64
+				wide    [][]float64
+				norm2   []float64
+			)
+			for i := 0; i < 100; i++ {
+				cls, entries, vers, wide, norm2 = s.ExtractLayerStagedInto((w+i)%layers, all,
+					cls[:0], entries[:0], vers[:0], wide[:0], norm2[:0])
+				if len(cls) != classes || len(wide) != classes || len(norm2) != classes {
+					errs <- fmt.Errorf("partial staged extract: %d classes", len(cls))
+					return
+				}
+				for k, e := range entries {
+					if err := checkStaging(e, wide[k], norm2[k]); err != nil {
+						errs <- fmt.Errorf("class %d: %v", cls[k], err)
+						return
+					}
+				}
+			}
+		}(w)
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// checkStaging reports whether (wide, norm2) is the exact probe staging of
+// entry e.
+func checkStaging(e []float32, wide []float64, norm2 float64) error {
+	want, _ := vecmath.WidenRow(e)
+	if len(wide) != len(want) {
+		return fmt.Errorf("mirror length %d, entry %d", len(wide), len(e))
+	}
+	for i := range want {
+		if wide[i] != want[i] {
+			return fmt.Errorf("mirror[%d] = %v, want %v", i, wide[i], want[i])
+		}
+	}
+	if want := vecmath.SquaredNorm(e); norm2 != want {
+		return fmt.Errorf("norm2 = %v, want %v", norm2, want)
+	}
+	return nil
 }
 
 func TestMergePeerRecencyWeighting(t *testing.T) {
@@ -480,6 +530,36 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 		cls, entries, vers = s.ExtractLayerVersionedInto(1, classList, cls[:0], entries[:0], vers[:0])
 	}); allocs != 0 {
 		t.Errorf("ExtractLayerVersionedInto steady state: %.1f allocs/op, want 0", allocs)
+	}
+	// Staged extraction: a freshly published cell carries no mirror; the
+	// first staged read installs the exact staging, and later reads borrow
+	// it without allocating.
+	if err := s.Merge(5, 2, axis(dim, 1), 0.99, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if s.rows[5].wide[2] != nil {
+		t.Fatal("publish must leave the fresh entry unstaged")
+	}
+	var (
+		wide  [][]float64
+		norm2 []float64
+	)
+	one := []int{5}
+	cls, entries, vers, wide, norm2 = s.ExtractLayerStagedInto(2, one, cls[:0], entries[:0], vers[:0], wide, norm2)
+	installed := s.rows[5].wide[2]
+	if installed == nil || &installed[0] != &wide[0][0] {
+		t.Fatal("first staged extraction must install the mirror it returns")
+	}
+	if err := checkStaging(entries[0], wide[0], norm2[0]); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		cls, entries, vers, wide, norm2 = s.ExtractLayerStagedInto(2, one, cls[:0], entries[:0], vers[:0], wide[:0], norm2[:0])
+	}); allocs != 0 {
+		t.Errorf("ExtractLayerStagedInto of a staged cell: %.1f allocs/op, want 0", allocs)
+	}
+	if &wide[0][0] != &installed[0] {
+		t.Fatal("later staged extractions must borrow the installed mirror")
 	}
 	var freqDst []float64
 	f := NewFrequencies(classes)
