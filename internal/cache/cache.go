@@ -74,8 +74,9 @@ type Layer struct {
 	// table's first staged extraction of it, on a wire allocation's apply,
 	// or by Stage) and then shared read-only by every probe, batch and
 	// round. Layers built from the coordinator's allocation path arrive
-	// pre-staged with mirrors borrowed from the global table; Stage fills
-	// the staging for layers assembled by hand.
+	// pre-staged: in process with mirrors borrowed from the global table,
+	// over the wire with mirrors the view staged on apply. Stage fills the
+	// staging for layers assembled by hand.
 	Wide  [][]float64
 	Norm2 []float64
 

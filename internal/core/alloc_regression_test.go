@@ -23,10 +23,16 @@ func TestServerAllocateSteadyStateAllocs(t *testing.T) {
 	status := neutralStatus(0)
 	// Warm up: first allocation grows the session view and scratch to
 	// their high-water sizes.
+	var held []CellRef
 	for i := 0; i < 3; i++ {
 		d, err := sess.Allocate(ctx, status)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if i == 0 {
+			for _, c := range d.Cells[:2] {
+				held = append(held, CellRef{Site: c.Site, Class: c.Class})
+			}
 		}
 		status.LastVersion = d.Version
 	}
@@ -39,6 +45,40 @@ func TestServerAllocateSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Allocate: %.1f allocs/op, want 0", allocs)
+	}
+
+	// Each round, merge into two held cells and allocate again: the delta
+	// carries both fresh entries. A wire allocation stages neither, so the
+	// round costs the merges' replacement entries alone (0 allocs per
+	// fresh cell in Allocate); an in-process allocation widens each fresh
+	// entry on its first read.
+	vec := xrand.NormalVector(xrand.New(5), model.Dim)
+	vecmath.Normalize(vec)
+	upd := UpdateReport{Freq: make([]float64, 10)} // Φ unchanged: same ACA result
+	for _, ref := range held {
+		upd.Cells = append(upd.Cells, UpdateCell{Class: ref.Class, Layer: ref.Site, Count: 1, Vec: vec})
+	}
+	round := func(actx context.Context) func() {
+		return func() {
+			if err := sess.Upload(ctx, upd); err != nil {
+				t.Fatal(err)
+			}
+			d, err := sess.Allocate(actx, status)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(d.Cells) != len(held) {
+				t.Fatalf("delta carries %d cells, want the %d merged ones", len(d.Cells), len(held))
+			}
+			status.LastVersion = d.Version
+		}
+	}
+	wire := testing.AllocsPerRun(20, round(ForWire(ctx)))
+	if max := float64(len(upd.Cells)); wire > max {
+		t.Errorf("merge + wire Allocate: %.1f allocs/op, want <= %.0f (the replacement entries; no staging)", wire, max)
+	}
+	if inProc := testing.AllocsPerRun(20, round(ctx)); inProc <= wire {
+		t.Errorf("merge + in-process Allocate: %.1f allocs/op, not above the wire round's %.1f: the fresh cells were not staged", inProc, wire)
 	}
 }
 

@@ -472,8 +472,8 @@ func (s *Server) Open(ctx context.Context, clientID int) (Session, error) {
 // targetCell is one cell of a freshly computed allocation, with the table
 // version backing its entry. vec is a borrowed reference to the live
 // (immutable-once-published) global-table entry; wide and norm2 are its
-// probe staging, installed by the extraction that first read the entry
-// and borrowed like it.
+// probe staging, installed by the staged extraction that first read the
+// entry and borrowed like it, or nil and 0 for a wire allocation.
 type targetCell struct {
 	ref   CellRef
 	vec   []float32
@@ -522,7 +522,8 @@ func stageCheck(ctx context.Context) error {
 // The context is checked at stage boundaries (between the probe and full
 // ACA passes, and before extraction) so a request whose propagated
 // deadline expires mid-computation stops burning the shared table instead
-// of finishing work nobody will read.
+// of finishing work nobody will read. A ForWire context extracts without
+// probe staging: only in-process readers probe the server's mirrors.
 func (s *Server) computeAllocation(ctx context.Context, clientID int, status StatusReport, sc *allocScratch) (classes, sites []int, cells []targetCell, err error) {
 	if len(status.Tau) != s.space.DS.NumClasses {
 		return nil, nil, nil, fmt.Errorf("core: client %d status has %d classes, want %d",
@@ -579,11 +580,12 @@ func (s *Server) computeAllocation(ctx context.Context, clientID int, status Sta
 	}
 	s.allocs.Add(1)
 	telemetry.CoreAllocations.Inc()
+	stage := !forWire(ctx)
 	sc.cells = sc.cells[:0]
 	sc.sites = sc.sites[:0]
 	for _, site := range res.Layers {
-		sc.cls, sc.entries, sc.vers, sc.wide, sc.norm2 = s.table.ExtractLayerStagedInto(
-			site, res.Classes, sc.cls[:0], sc.entries[:0], sc.vers[:0], sc.wide[:0], sc.norm2[:0])
+		sc.cls, sc.entries, sc.vers, sc.wide, sc.norm2 = s.table.ExtractLayerInto(site, res.Classes, stage,
+			sc.cls[:0], sc.entries[:0], sc.vers[:0], sc.wide[:0], sc.norm2[:0])
 		if len(sc.cls) > 0 {
 			sc.sites = append(sc.sites, site)
 		}

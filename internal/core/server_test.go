@@ -373,13 +373,27 @@ func cellsEqual(x, y *gtable.Table) bool {
 	return true
 }
 
-// TestAllocationCarriesPublishStaging checks the staging flow of the
-// tentpole end to end in process: delta cells carry the global table's
-// publish-time mirrors, the applied view shares them, and the
-// materialized layers arrive pre-staged with mirrors that match their
-// entries exactly.
+// TestAllocationCarriesPublishStaging checks the staging flow end to end
+// in process: delta cells carry the global table's first-read mirrors,
+// the applied view shares them, and the materialized layers arrive
+// pre-staged with mirrors that match their entries exactly. A wire
+// allocation of the same cells first carries no mirrors, and must not
+// disturb the in-process session that follows it.
 func TestAllocationCarriesPublishStaging(t *testing.T) {
 	srv := smallServer(t)
+	wire := testSession(t, srv, 1)
+	wd, err := wire.Allocate(ForWire(context.Background()), neutralStatus(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wd.Cells) == 0 {
+		t.Fatal("wire allocation delivered no cells")
+	}
+	for _, c := range wd.Cells {
+		if c.Wide != nil || c.Norm2 != 0 {
+			t.Fatalf("cell (%d,%d): wire allocation returned probe staging", c.Site, c.Class)
+		}
+	}
 	sess := testSession(t, srv, 0)
 	d, err := sess.Allocate(context.Background(), neutralStatus(0))
 	if err != nil {

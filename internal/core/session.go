@@ -45,6 +45,21 @@ type Session interface {
 	Close() error
 }
 
+// wireKey marks a context whose allocations are encoded for a remote
+// client (see ForWire).
+type wireKey struct{}
+
+// ForWire marks ctx as serving a session whose deltas leave the process:
+// the server extracts their cells without probe staging (DeltaCell.Wide
+// stays nil), because the wire ships Vec alone and the remote view
+// restages on apply. Wrappers that forward the context keep the mark.
+func ForWire(ctx context.Context) context.Context {
+	return context.WithValue(ctx, wireKey{}, true)
+}
+
+// forWire reports whether ctx carries the ForWire mark.
+func forWire(ctx context.Context) bool { return ctx.Value(wireKey{}) != nil }
+
 // CellRef names one allocated cache cell: class at cache site.
 type CellRef struct {
 	Site, Class int
@@ -53,10 +68,11 @@ type CellRef struct {
 // DeltaCell is one new or changed cache cell with its entry vector.
 // Wide and Norm2 are the entry's probe staging (widened float64 mirror
 // and squared norm), computed once per published entry by the global
-// table's first staged extraction of it. In-process sessions fill them —
-// the mirrors are immutable table memory, shared read-only — while wire
-// transports ship only Vec and the receiving view restages on apply (once
-// per changed cell, never per round).
+// table's first staged extraction of it. Only in-process sessions fill
+// them — the mirrors are immutable table memory, shared read-only. An
+// allocation served under a ForWire context leaves them nil and the
+// server stages nothing: the wire ships only Vec and the receiving view
+// restages on apply (once per changed cell, never per round).
 type DeltaCell struct {
 	Site, Class int
 	Vec         []float32

@@ -38,11 +38,12 @@ type shardRow struct {
 	support []float64   // [layer] -> evidence count Φ (capped)
 	// wide and norm2 are each entry's probe staging — the widened float64
 	// mirror and squared norm — computed on the first staged extraction of
-	// the entry (see ExtractLayerStagedInto) and borrowed read-only by every
-	// later extraction, session, client and round until a publish replaces
-	// the entry and clears them. Entries are immutable once published, so
-	// an installed mirror is too; cells no staged reader extracts never pay
-	// for one.
+	// the entry (see ExtractLayerInto) and borrowed read-only by every
+	// later staged extraction, in-process session, client and round until
+	// a publish replaces the entry and clears them. Entries are immutable
+	// once published, so an installed mirror is too. Only in-process
+	// readers stage: cells that only unstaged readers (wire sessions, whose
+	// clients restage on apply) extract never pay for a mirror.
 	wide  [][]float64 // [layer] -> widened mirror of vecs[layer] or nil (unstaged)
 	norm2 []float64   // [layer] -> squared norm of vecs[layer]
 	// evtotal is the uncapped, monotone evidence accumulated by the cell
@@ -152,18 +153,6 @@ func (s *Sharded) Get(class, layer int) []float32 {
 		return nil
 	}
 	return vecmath.Clone(row.vecs[layer])
-}
-
-// CellVersion returns the write version of (class, layer); 0 means the
-// cell was never written.
-func (s *Sharded) CellVersion(class, layer int) uint64 {
-	if err := s.check(class, layer); err != nil {
-		panic(err)
-	}
-	row := &s.rows[class]
-	row.mu.RLock()
-	defer row.mu.RUnlock()
-	return row.vers[layer]
 }
 
 // Merge applies Eq. 4 to cell (class, layer) under the row's lock: the
@@ -313,17 +302,6 @@ func (s *Sharded) AdoptPeer(class, layer int, vec []float32, support, evTotal, s
 	return row.vers[layer], nil
 }
 
-// Support returns the evidence count behind (class, layer).
-func (s *Sharded) Support(class, layer int) float64 {
-	if err := s.check(class, layer); err != nil {
-		panic(err)
-	}
-	row := &s.rows[class]
-	row.mu.RLock()
-	defer row.mu.RUnlock()
-	return row.support[layer]
-}
-
 // ForEachCell visits every populated cell in (class, layer) order with its
 // entry vector, write version and support count — the scan the federation
 // tier's delta collection runs. Rows are read-locked one at a time, so
@@ -464,42 +442,24 @@ func (s *Sharded) Set(class, layer int, vec []float32, support float64) error {
 	return nil
 }
 
-// ExtractLayerVersionedInto appends the populated entries of the given
-// column restricted to classes — with each entry's current version,
-// preserving class order and skipping absent cells — onto the caller's
-// scratch slices and returns them. Entries are borrowed references (see
-// Cell): the critical section per row is the capture of three words, and
-// no allocation ever happens under a shard lock; at steady state, once the
-// scratch has grown to the working-set size, the extraction allocates
-// nothing at all.
-func (s *Sharded) ExtractLayerVersionedInto(layer int, classes []int, cls []int, entries [][]float32, vers []uint64) ([]int, [][]float32, []uint64) {
-	for _, c := range classes {
-		if err := s.check(c, layer); err != nil {
-			panic(err)
-		}
-		row := &s.rows[c]
-		row.mu.RLock()
-		v := row.vecs[layer]
-		ver := row.vers[layer]
-		row.mu.RUnlock()
-		if v != nil {
-			cls = append(cls, c)
-			entries = append(entries, v)
-			vers = append(vers, ver)
-		}
-	}
-	return cls, entries, vers
-}
-
-// ExtractLayerStagedInto is ExtractLayerVersionedInto extended with each
-// entry's probe staging: wide[i] and norm2[i] are the widened mirror and
-// squared norm of entries[i], borrowed like the entries themselves. A cell
-// is staged on its first staged extraction after a publish (see stage),
-// so the first read of a fresh entry allocates its mirror outside every
-// shard lock, and later reads borrow it. Passing nil wide/norm2 scratch
-// grows fresh slices; hot paths pass reused scratch and allocate nothing
-// at steady state.
-func (s *Sharded) ExtractLayerStagedInto(layer int, classes []int, cls []int, entries [][]float32, vers []uint64, wide [][]float64, norm2 []float64) ([]int, [][]float32, []uint64, [][]float64, []float64) {
+// ExtractLayerInto appends the populated entries of the given column
+// restricted to classes — with each entry's current version, preserving
+// class order and skipping absent cells — onto the caller's scratch slices
+// and returns them. Entries are borrowed references (see Cell): the
+// critical section per row is the capture of a few words, and no
+// allocation ever happens under a shard lock.
+//
+// stage selects whether the reader wants probe staging. A staged read
+// returns each entry's widened mirror and squared norm in wide[i] and
+// norm2[i], borrowed like the entries: a cell is staged on its first staged
+// extraction after a publish (see stage), so the first read of a fresh
+// entry allocates its mirror outside every shard lock, and later reads
+// borrow it. Only in-process readers, which probe the returned mirrors
+// directly, should stage; an unstaged read appends nil and 0, neither
+// installs nor returns a mirror, and leaves the cell as it found it. At
+// steady state, once the scratch has grown to the working-set size, an
+// unstaged read or a staged read of staged cells allocates nothing.
+func (s *Sharded) ExtractLayerInto(layer int, classes []int, stage bool, cls []int, entries [][]float32, vers []uint64, wide [][]float64, norm2 []float64) ([]int, [][]float32, []uint64, [][]float64, []float64) {
 	for _, c := range classes {
 		if err := s.check(c, layer); err != nil {
 			panic(err)
@@ -514,7 +474,9 @@ func (s *Sharded) ExtractLayerStagedInto(layer int, classes []int, cls []int, en
 		if v == nil {
 			continue
 		}
-		if w == nil {
+		if !stage {
+			w, n2 = nil, 0
+		} else if w == nil {
 			w, n2 = row.stage(layer, v)
 		}
 		cls = append(cls, c)
@@ -524,19 +486,6 @@ func (s *Sharded) ExtractLayerStagedInto(layer int, classes []int, cls []int, en
 		norm2 = append(norm2, n2)
 	}
 	return cls, entries, vers, wide, norm2
-}
-
-// ExtractLayerVersioned returns copies of the populated entries of the
-// given column restricted to classes, with each entry's current version,
-// preserving class order and skipping absent cells. Cloning happens
-// outside the row locks (entries are immutable once published); hot paths
-// use ExtractLayerVersionedInto and skip the copies entirely.
-func (s *Sharded) ExtractLayerVersioned(layer int, classes []int) (cls []int, entries [][]float32, vers []uint64) {
-	cls, entries, vers = s.ExtractLayerVersionedInto(layer, classes, nil, nil, nil)
-	for i, v := range entries {
-		entries[i] = vecmath.Clone(v)
-	}
-	return cls, entries, vers
 }
 
 // Snapshot copies the sharded table into a plain Table (diagnostics and
@@ -560,20 +509,4 @@ func (s *Sharded) Snapshot() *Table {
 		}
 	}
 	return out
-}
-
-// Populated returns the number of non-nil entries.
-func (s *Sharded) Populated() int {
-	n := 0
-	for c := range s.rows {
-		row := &s.rows[c]
-		row.mu.RLock()
-		for _, v := range row.vecs {
-			if v != nil {
-				n++
-			}
-		}
-		row.mu.RUnlock()
-	}
-	return n
 }

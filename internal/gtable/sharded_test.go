@@ -14,14 +14,32 @@ func axis(dim, hot int) []float32 {
 	return v
 }
 
+// cellVersion reads the write version of (class, layer); 0 means the cell
+// was never written.
+func cellVersion(s *Sharded, class, layer int) uint64 {
+	row := &s.rows[class]
+	row.mu.RLock()
+	defer row.mu.RUnlock()
+	return row.vers[layer]
+}
+
+// populated counts the table's non-nil entries through the bulk sweep.
+func populated(s *Sharded) int { return len(s.AppendCells(nil)) }
+
+// extract is an unstaged ExtractLayerInto into fresh scratch.
+func extract(s *Sharded, layer int, classes []int) ([]int, [][]float32, []uint64) {
+	cls, entries, vers, _, _ := s.ExtractLayerInto(layer, classes, false, nil, nil, nil, nil, nil)
+	return cls, entries, vers
+}
+
 func TestShardedFromTableSharesEntries(t *testing.T) {
 	tbl := New(3, 2, 4)
 	if err := tbl.Set(1, 1, axis(4, 2)); err != nil {
 		t.Fatal(err)
 	}
 	s := ShardedFromTable(tbl, 16)
-	if s.Populated() != 1 {
-		t.Fatalf("populated = %d", s.Populated())
+	if n := populated(s); n != 1 {
+		t.Fatalf("populated = %d", n)
 	}
 	if got := s.Get(1, 1); got == nil || got[2] != 1 {
 		t.Fatalf("entry not carried over: %v", got)
@@ -29,10 +47,10 @@ func TestShardedFromTableSharesEntries(t *testing.T) {
 	if &s.rows[1].vecs[1][0] != &tbl.Get(1, 1)[0] {
 		t.Fatal("sharded table must borrow the source entry, not copy it")
 	}
-	if s.CellVersion(1, 1) != 1 {
-		t.Fatalf("initial version = %d, want 1", s.CellVersion(1, 1))
+	if cellVersion(s, 1, 1) != 1 {
+		t.Fatalf("initial version = %d, want 1", cellVersion(s, 1, 1))
 	}
-	if s.CellVersion(0, 0) != 0 {
+	if cellVersion(s, 0, 0) != 0 {
 		t.Fatal("absent cell must have version 0")
 	}
 	// A write to the sharded table replaces the borrowed entry; it must
@@ -50,13 +68,13 @@ func TestShardedMergeMovesEntryAndBumpsVersion(t *testing.T) {
 	if err := s.Set(0, 0, axis(4, 0), 10); err != nil {
 		t.Fatal(err)
 	}
-	v0 := s.CellVersion(0, 0)
+	v0 := cellVersion(s, 0, 0)
 	update := axis(4, 1)
 	if err := s.Merge(0, 0, update, 0.99, 5, 0); err != nil {
 		t.Fatal(err)
 	}
-	if s.CellVersion(0, 0) != v0+1 {
-		t.Fatalf("version %d after merge, want %d", s.CellVersion(0, 0), v0+1)
+	if cellVersion(s, 0, 0) != v0+1 {
+		t.Fatalf("version %d after merge, want %d", cellVersion(s, 0, 0), v0+1)
 	}
 	got := s.Get(0, 0)
 	if vecmath.Cosine(got, update) <= 0 {
@@ -75,8 +93,8 @@ func TestShardedMergeIntoAbsentCellStoresUpdate(t *testing.T) {
 	if got := s.Get(0, 0); got == nil || got[1] != 1 {
 		t.Fatalf("absent-cell merge did not store the update: %v", got)
 	}
-	if s.CellVersion(0, 0) != 1 {
-		t.Fatalf("version = %d", s.CellVersion(0, 0))
+	if cellVersion(s, 0, 0) != 1 {
+		t.Fatalf("version = %d", cellVersion(s, 0, 0))
 	}
 }
 
@@ -117,14 +135,14 @@ func TestShardedSupportCap(t *testing.T) {
 	}
 }
 
-func TestShardedExtractLayerVersioned(t *testing.T) {
+func TestShardedExtractLayerInto(t *testing.T) {
 	s := NewSharded(4, 2, 3)
 	for _, c := range []int{0, 2, 3} {
 		if err := s.Set(c, 1, axis(3, c%3), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cls, entries, vers := s.ExtractLayerVersioned(1, []int{0, 1, 2})
+	cls, entries, vers := extract(s, 1, []int{0, 1, 2})
 	if len(cls) != 2 || cls[0] != 0 || cls[1] != 2 {
 		t.Fatalf("cls = %v", cls)
 	}
@@ -137,9 +155,45 @@ func TestShardedExtractLayerVersioned(t *testing.T) {
 	if err := s.Merge(2, 1, axis(3, 1), 0.99, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	_, _, vers = s.ExtractLayerVersioned(1, []int{0, 2})
+	_, _, vers = extract(s, 1, []int{0, 2})
 	if vers[0] != 1 || vers[1] != 2 {
 		t.Fatalf("post-merge vers = %v", vers)
+	}
+}
+
+// TestExtractLayerIntoStagesOnlyWhenAsked pins the staging contract: an
+// unstaged read neither installs nor returns a mirror, and the first
+// staged read afterwards installs a bitwise-exact one that every later
+// staged read borrows — unstaged reads in between leave it in place.
+func TestExtractLayerIntoStagesOnlyWhenAsked(t *testing.T) {
+	s := NewSharded(3, 2, 4)
+	if err := s.Set(1, 0, axis(4, 1), 8); err != nil {
+		t.Fatal(err)
+	}
+	all := []int{0, 1, 2}
+	cls, entries, vers, wide, norm2 := s.ExtractLayerInto(0, all, false, nil, nil, nil, nil, nil)
+	if len(cls) != 1 || len(wide) != 1 || wide[0] != nil || norm2[0] != 0 {
+		t.Fatalf("unstaged read returned staging: cls %v wide %v norm2 %v", cls, wide, norm2)
+	}
+	if s.rows[1].wide[0] != nil {
+		t.Fatal("unstaged read installed a mirror")
+	}
+	cls, entries, vers, wide, norm2 = s.ExtractLayerInto(0, all, true, cls[:0], entries[:0], vers[:0], wide[:0], norm2[:0])
+	installed := s.rows[1].wide[0]
+	if installed == nil || &installed[0] != &wide[0][0] {
+		t.Fatal("first staged read must install the mirror it returns")
+	}
+	if err := checkStaging(entries[0], wide[0], norm2[0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range []bool{false, true} {
+		cls, entries, vers, wide, norm2 = s.ExtractLayerInto(0, all, stage, cls[:0], entries[:0], vers[:0], wide[:0], norm2[:0])
+		if got := s.rows[1].wide[0]; &got[0] != &installed[0] {
+			t.Fatalf("stage=%v read replaced the installed mirror", stage)
+		}
+	}
+	if &wide[0][0] != &installed[0] {
+		t.Fatal("a later staged read must borrow the installed mirror")
 	}
 }
 
@@ -172,46 +226,45 @@ func TestShardedConcurrentMergeAndExtract(t *testing.T) {
 				}
 			}
 		}(w)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				cls, entries, vers := s.ExtractLayerVersioned((w+i)%layers, all)
-				if len(cls) != classes || len(entries) != classes || len(vers) != classes {
-					errs <- fmt.Errorf("partial extract: %d classes", len(cls))
-					return
-				}
-			}
-			_ = s.Snapshot()
-		}(w)
-		// Staged readers race the merges and each other to install a
-		// cell's mirror: whoever wins, every returned mirror must be the
-		// exact staging of the entry returned with it.
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var (
-				cls     []int
-				entries [][]float32
-				vers    []uint64
-				wide    [][]float64
-				norm2   []float64
-			)
-			for i := 0; i < 100; i++ {
-				cls, entries, vers, wide, norm2 = s.ExtractLayerStagedInto((w+i)%layers, all,
-					cls[:0], entries[:0], vers[:0], wide[:0], norm2[:0])
-				if len(cls) != classes || len(wide) != classes || len(norm2) != classes {
-					errs <- fmt.Errorf("partial staged extract: %d classes", len(cls))
-					return
-				}
-				for k, e := range entries {
-					if err := checkStaging(e, wide[k], norm2[k]); err != nil {
-						errs <- fmt.Errorf("class %d: %v", cls[k], err)
+		// Unstaged and staged readers race the merges and each other.
+		// Staged readers race to install a cell's mirror: whoever wins,
+		// every returned mirror must be the exact staging of the entry
+		// returned with it. Unstaged readers must never see one.
+		for _, stage := range []bool{false, true} {
+			wg.Add(1)
+			go func(w int, stage bool) {
+				defer wg.Done()
+				var (
+					cls     []int
+					entries [][]float32
+					vers    []uint64
+					wide    [][]float64
+					norm2   []float64
+				)
+				for i := 0; i < 100; i++ {
+					cls, entries, vers, wide, norm2 = s.ExtractLayerInto((w+i)%layers, all, stage,
+						cls[:0], entries[:0], vers[:0], wide[:0], norm2[:0])
+					if len(cls) != classes || len(vers) != classes || len(wide) != classes || len(norm2) != classes {
+						errs <- fmt.Errorf("partial extract (stage=%v): %d classes", stage, len(cls))
 						return
 					}
+					for k, e := range entries {
+						if !stage {
+							if wide[k] != nil || norm2[k] != 0 {
+								errs <- fmt.Errorf("class %d: unstaged read returned staging", cls[k])
+								return
+							}
+						} else if err := checkStaging(e, wide[k], norm2[k]); err != nil {
+							errs <- fmt.Errorf("class %d: %v", cls[k], err)
+							return
+						}
+					}
 				}
-			}
-		}(w)
+				if !stage {
+					_ = s.Snapshot()
+				}
+			}(w, stage)
+		}
 	}
 	wg.Wait()
 	close(errs)
@@ -308,10 +361,8 @@ func TestEvidenceLedgerMonotone(t *testing.T) {
 	if err := s.Merge(0, 0, axis(4, 1), 0.99, 30, 20); err != nil {
 		t.Fatal(err)
 	}
-	// Support capped at 20, but the ledger keeps the full 40.
-	if got := s.Support(0, 0); got != 20 {
-		t.Fatalf("support = %v, want capped 20", got)
-	}
+	// Support capped at 20 (checked by the visit below), but the ledger
+	// keeps the full 40.
 	var ledger float64
 	s.ForEachCell(func(class, layer int, _ []float32, ver uint64, support, evTotal float64) {
 		if class != 0 || layer != 0 {
@@ -396,21 +447,21 @@ func TestAppendCellsMatchesForEachCell(t *testing.T) {
 	}
 }
 
-// TestExtractLayerVersionedIntoBorrowsLiveEntries verifies the Into
-// variant returns the live (immutable) entry slices without copying, and
-// that a later merge replaces — not mutates — what was borrowed.
-func TestExtractLayerVersionedIntoBorrowsLiveEntries(t *testing.T) {
+// TestExtractLayerIntoBorrowsLiveEntries verifies the extraction returns
+// the live (immutable) entry slices without copying, and that a later
+// merge replaces — not mutates — what was borrowed.
+func TestExtractLayerIntoBorrowsLiveEntries(t *testing.T) {
 	s := NewSharded(3, 2, 4)
 	if err := s.Set(1, 0, axis(4, 1), 8); err != nil {
 		t.Fatal(err)
 	}
-	cls, entries, vers := s.ExtractLayerVersionedInto(0, []int{0, 1, 2}, nil, nil, nil)
+	cls, entries, vers := extract(s, 0, []int{0, 1, 2})
 	if len(cls) != 1 || cls[0] != 1 || vers[0] != 1 {
 		t.Fatalf("extract = %v %v", cls, vers)
 	}
 	borrowed := entries[0]
 	if &borrowed[0] != &s.rows[1].vecs[0][0] {
-		t.Fatal("Into variant must borrow the live entry, not copy it")
+		t.Fatal("extraction must borrow the live entry, not copy it")
 	}
 	snap := vecmath.Clone(borrowed)
 	if err := s.Merge(1, 0, axis(4, 3), 0.99, 4, 0); err != nil {
@@ -421,11 +472,8 @@ func TestExtractLayerVersionedIntoBorrowsLiveEntries(t *testing.T) {
 			t.Fatal("merge mutated a published entry; merges must replace slices")
 		}
 	}
-	// Scratch reuse: a second extraction into the same buffers must not
-	// grow them.
-	cls, entries, vers = s.ExtractLayerVersionedInto(0, []int{0, 1, 2}, cls[:0], entries[:0], vers[:0])
-	if len(cls) != 1 || vers[0] != 2 {
-		t.Fatalf("re-extract = %v %v", cls, vers)
+	if _, _, vers = extract(s, 0, []int{0, 1, 2}); len(vers) != 1 || vers[0] != 2 {
+		t.Fatalf("re-extract vers = %v", vers)
 	}
 }
 
@@ -492,7 +540,7 @@ func TestSnapshotAndSweepUnderMergeContention(t *testing.T) {
 		if len(cells) != classes*layers {
 			t.Fatalf("sweep saw %d cells, want %d", len(cells), classes*layers)
 		}
-		_, entries, _ := s.ExtractLayerVersionedInto(i%layers, classList, nil, nil, nil)
+		_, entries, _ := extract(s, i%layers, classList)
 		for _, v := range entries {
 			if n := vecmath.Dot(v, v); n < 0.99 || n > 1.01 {
 				t.Fatalf("torn extract: |v|² = %v", n)
@@ -525,27 +573,32 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("AppendCells steady state: %.1f allocs/op, want 0", allocs)
 	}
-	cls, entries, vers := s.ExtractLayerVersionedInto(0, classList, nil, nil, nil)
+	cls, entries, vers, wide, norm2 := s.ExtractLayerInto(0, classList, false, nil, nil, nil, nil, nil)
 	if allocs := testing.AllocsPerRun(50, func() {
-		cls, entries, vers = s.ExtractLayerVersionedInto(1, classList, cls[:0], entries[:0], vers[:0])
+		cls, entries, vers, wide, norm2 = s.ExtractLayerInto(1, classList, false, cls[:0], entries[:0], vers[:0], wide[:0], norm2[:0])
 	}); allocs != 0 {
-		t.Errorf("ExtractLayerVersionedInto steady state: %.1f allocs/op, want 0", allocs)
+		t.Errorf("unstaged ExtractLayerInto steady state: %.1f allocs/op, want 0", allocs)
 	}
-	// Staged extraction: a freshly published cell carries no mirror; the
-	// first staged read installs the exact staging, and later reads borrow
-	// it without allocating.
+	// Staged extraction: a freshly published cell carries no mirror, and
+	// an unstaged read of it allocates nothing and leaves it so; the first
+	// staged read installs the exact staging, and later reads borrow it
+	// without allocating.
 	if err := s.Merge(5, 2, axis(dim, 1), 0.99, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if s.rows[5].wide[2] != nil {
 		t.Fatal("publish must leave the fresh entry unstaged")
 	}
-	var (
-		wide  [][]float64
-		norm2 []float64
-	)
 	one := []int{5}
-	cls, entries, vers, wide, norm2 = s.ExtractLayerStagedInto(2, one, cls[:0], entries[:0], vers[:0], wide, norm2)
+	if allocs := testing.AllocsPerRun(50, func() {
+		cls, entries, vers, wide, norm2 = s.ExtractLayerInto(2, one, false, cls[:0], entries[:0], vers[:0], wide[:0], norm2[:0])
+	}); allocs != 0 {
+		t.Errorf("unstaged ExtractLayerInto of a fresh cell: %.1f allocs/op, want 0", allocs)
+	}
+	if s.rows[5].wide[2] != nil {
+		t.Fatal("unstaged reads must leave the fresh entry unstaged")
+	}
+	cls, entries, vers, wide, norm2 = s.ExtractLayerInto(2, one, true, cls[:0], entries[:0], vers[:0], wide[:0], norm2[:0])
 	installed := s.rows[5].wide[2]
 	if installed == nil || &installed[0] != &wide[0][0] {
 		t.Fatal("first staged extraction must install the mirror it returns")
@@ -554,9 +607,9 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		cls, entries, vers, wide, norm2 = s.ExtractLayerStagedInto(2, one, cls[:0], entries[:0], vers[:0], wide[:0], norm2[:0])
+		cls, entries, vers, wide, norm2 = s.ExtractLayerInto(2, one, true, cls[:0], entries[:0], vers[:0], wide[:0], norm2[:0])
 	}); allocs != 0 {
-		t.Errorf("ExtractLayerStagedInto of a staged cell: %.1f allocs/op, want 0", allocs)
+		t.Errorf("staged ExtractLayerInto of a staged cell: %.1f allocs/op, want 0", allocs)
 	}
 	if &wide[0][0] != &installed[0] {
 		t.Fatal("later staged extractions must borrow the installed mirror")

@@ -602,7 +602,13 @@ func (cs *connState) closeAll() {
 // frame. Malformed requests — frames of a retired version included —
 // receive a TypeError reply naming the problem; transport failures end
 // the session. It returns nil on orderly shutdown.
+//
+// Every allocation served here is encoded for a remote client, so ctx is
+// marked core.ForWire once: the server extracts those cells without probe
+// staging, since the wire ships entries alone and the client's view
+// restages them on apply.
 func ServeConn(ctx context.Context, conn transport.Conn, coord core.Coordinator) error {
+	ctx = core.ForWire(ctx)
 	cs := &connState{coord: coord, sessions: make(map[uint64]core.Session)}
 	defer cs.closeAll()
 

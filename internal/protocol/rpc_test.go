@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"coca/internal/core"
@@ -15,6 +16,7 @@ import (
 	"coca/internal/semantics"
 	"coca/internal/stream"
 	"coca/internal/transport"
+	"coca/internal/vecmath"
 )
 
 func testServer(t testing.TB) (*core.Server, *semantics.Space) {
@@ -317,6 +319,100 @@ func TestServeConnRejectsV1(t *testing.T) {
 		t.Fatalf("server holds %d sessions after a v1 hello", n)
 	}
 	_ = cConn.Close()
+}
+
+// stagingRecorder wraps a coordinator and counts the delta cells its
+// sessions return, and how many of them carry probe staging.
+type stagingRecorder struct {
+	core.Coordinator
+	cells, staged atomic.Int64
+}
+
+func (r *stagingRecorder) Open(ctx context.Context, clientID int) (core.Session, error) {
+	sess, err := r.Coordinator.Open(ctx, clientID)
+	if err != nil {
+		return nil, err
+	}
+	return &recordedSession{Session: sess, r: r}, nil
+}
+
+type recordedSession struct {
+	core.Session
+	r *stagingRecorder
+}
+
+func (s *recordedSession) Allocate(ctx context.Context, status core.StatusReport) (core.Delta, error) {
+	d, err := s.Session.Allocate(ctx, status)
+	for _, c := range d.Cells {
+		s.r.cells.Add(1)
+		if c.Wide != nil {
+			s.r.staged.Add(1)
+		}
+	}
+	return d, err
+}
+
+// TestServeConnExtractsUnstaged checks that an allocation served over the
+// wire skips server-side probe staging — ServeConn marks its context
+// core.ForWire, and the mark reaches the server session through a
+// forwarding wrapper — while the client's view still arrives fully and
+// exactly staged.
+func TestServeConnExtractsUnstaged(t *testing.T) {
+	srv, space := testServer(t)
+	rec := &stagingRecorder{Coordinator: srv}
+	ctx := context.Background()
+	cConn, sConn := transport.Pipe()
+	go func() { _ = ServeConn(ctx, sConn, rec) }()
+	defer cConn.Close()
+
+	sess, err := NewSessionClient(cConn, space.DS.NumClasses, space.Arch.NumLayers).Open(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	status := core.StatusReport{Tau: make([]int, space.DS.NumClasses), Budget: 40, RoundFrames: 300}
+	d, err := sess.Allocate(ctx, status)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rec.cells.Load(); n == 0 || rec.staged.Load() != 0 {
+		t.Fatalf("wire allocation: %d of %d server cells staged, want 0 of > 0", rec.staged.Load(), n)
+	}
+	view := core.NewAllocView()
+	if err := view.Apply(d); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range view.Layers() {
+		if len(l.Wide) != len(l.Entries) || len(l.Norm2) != len(l.Entries) {
+			t.Fatalf("site %d: client view not staged", l.Site)
+		}
+		for i, e := range l.Entries {
+			want, n2 := vecmath.WidenRow(e)
+			if l.Norm2[i] != n2 {
+				t.Fatalf("site %d entry %d: norm %v, want %v", l.Site, i, l.Norm2[i], n2)
+			}
+			for k := range want {
+				if l.Wide[i][k] != want[k] {
+					t.Fatalf("site %d entry %d[%d]: mirror %v, want %v", l.Site, i, k, l.Wide[i][k], want[k])
+				}
+			}
+		}
+	}
+
+	// The recorder does see staging on an in-process session of the same
+	// server, so the wire result above is the mark's doing.
+	local, err := rec.Open(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	before := rec.cells.Load()
+	if _, err := local.Allocate(ctx, status); err != nil {
+		t.Fatal(err)
+	}
+	if n := rec.cells.Load() - before; n == 0 || rec.staged.Load() != n {
+		t.Fatalf("in-process allocation: %d of %d cells staged, want all", rec.staged.Load(), n)
+	}
 }
 
 var _ engine.Engine = (*core.Client)(nil)

@@ -2,8 +2,10 @@ package coca
 
 import (
 	"context"
+	"errors"
 	"net"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -118,29 +120,7 @@ func TestServeFederatedPeers(t *testing.T) {
 	base.NumClients = 4
 	base.Rounds = 3
 
-	// Reserve both ports up front so each server can name its peer
-	// before either listens; PeerSet dials lazily and retries.
-	addrs := make([]string, 2)
-	for i := range addrs {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = l.Addr().String()
-		_ = l.Close()
-	}
-	srvs := make([]*Server, 2)
-	for i := range srvs {
-		o := base
-		o.Federation = &FederationOptions{
-			Peers: []string{addrs[1-i]}, NodeID: i, SyncInterval: 30 * time.Millisecond,
-		}
-		srv, err := Serve(ctx, addrs[i], o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[i] = srv
-	}
+	srvs, addrs := servePeerPair(t, ctx, base)
 	defer func() {
 		for _, srv := range srvs {
 			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -169,17 +149,72 @@ func TestServeFederatedPeers(t *testing.T) {
 			t.Fatalf("client %d: %v", id, err)
 		}
 	}
-	// Let a few sync ticks land after the last uploads.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if srvs[0].PeerMerges() > 0 && srvs[1].PeerMerges() > 0 &&
-			srvs[0].SyncStats().CellsSent > 0 && srvs[1].SyncStats().CellsSent > 0 {
-			break
+	// Push what each fleet uploaded to the other server explicitly, instead
+	// of waiting for background sync ticks: a push commits only once the
+	// peer has merged it, so after a push that reaches the peer either it
+	// or an earlier tick has carried cells that way. A peer whose early
+	// dials failed while it was still starting may be marked dead, and a
+	// dead peer is re-probed only every few sync rounds, so count rounds
+	// until one reaches it.
+	for i, srv := range srvs {
+		for round := 0; ; round++ {
+			synced, err := srv.peers.SyncOnce(ctx)
+			if err != nil {
+				t.Fatalf("server %d sync: %v", i, err)
+			}
+			if synced > 0 {
+				break
+			}
+			if round == 64 {
+				t.Fatalf("server %d: no sync round reached its peer", i)
+			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("federation did not sync both ways: s0=%+v (merges %d), s1=%+v (merges %d)",
-				srvs[0].SyncStats(), srvs[0].PeerMerges(), srvs[1].SyncStats(), srvs[1].PeerMerges())
+	}
+	if srvs[0].PeerMerges() == 0 || srvs[1].PeerMerges() == 0 ||
+		srvs[0].SyncStats().CellsSent == 0 || srvs[1].SyncStats().CellsSent == 0 {
+		t.Fatalf("federation did not sync both ways: s0=%+v (merges %d), s1=%+v (merges %d)",
+			srvs[0].SyncStats(), srvs[0].PeerMerges(), srvs[1].SyncStats(), srvs[1].PeerMerges())
+	}
+}
+
+// servePeerPair starts two servers that name each other as federation
+// peers. Both ports are reserved up front so each server can name its
+// peer before either listens (PeerSet dials lazily and retries). Another
+// process can bind a reserved port before Serve does, so a bind failure
+// starts over on fresh ports.
+func servePeerPair(t *testing.T, ctx context.Context, base Options) ([]*Server, []string) {
+	t.Helper()
+	for attempt := 0; ; attempt++ {
+		addrs := make([]string, 2)
+		for i := range addrs {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs[i] = l.Addr().String()
+			_ = l.Close()
 		}
-		time.Sleep(20 * time.Millisecond)
+		var srvs []*Server
+		var err error
+		for i := range addrs {
+			o := base
+			o.Federation = &FederationOptions{
+				Peers: []string{addrs[1-i]}, NodeID: i, SyncInterval: 30 * time.Millisecond,
+			}
+			var srv *Server
+			if srv, err = Serve(ctx, addrs[i], o); err != nil {
+				break
+			}
+			srvs = append(srvs, srv)
+		}
+		if err == nil {
+			return srvs, addrs
+		}
+		for _, srv := range srvs {
+			_ = srv.Shutdown(context.Background())
+		}
+		if !errors.Is(err, syscall.EADDRINUSE) || attempt == 4 {
+			t.Fatal(err)
+		}
 	}
 }
